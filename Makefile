@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test race bench bench-json bench-compare bench-baseline experiments selfcheck conformance cover fmt fmt-check vet sledvet lint lint-report fuzz-smoke chaos chaos-overload trace-smoke
+.PHONY: test race drain-stress bench bench-json bench-compare bench-baseline experiments selfcheck conformance cover fmt fmt-check vet sledvet lint lint-report fuzz-smoke chaos chaos-overload trace-smoke
 
 # Benchmarks gated by the checked-in allocation baseline (hot encode and
 # decode paths, plus every codec backend through the public facade).
@@ -18,6 +18,11 @@ conformance:
 
 race:
 	go test -race ./...
+
+# The engine lifecycle under repetition: every Drain and Stream test, 20
+# times with the race detector, so a flaky shutdown cannot pass by luck.
+drain-stress:
+	go test -race -count=20 -run 'Drain|Stream' ./internal/engine
 
 bench:
 	go test -bench=. -benchmem ./...

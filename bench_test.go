@@ -370,7 +370,7 @@ func BenchmarkSledZigDecode1500B(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dec.DecodeDetailed(wave); err != nil {
+		if _, err := dec.Decode(wave); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sledzig"
@@ -45,6 +46,13 @@ type overloadReport struct {
 	HealthyDrain   sledzig.DrainReport        `json:"healthy_drain"`
 	PoisonedDrain  sledzig.DrainReport        `json:"poisoned_drain"`
 
+	// The stalled-consumer clients: results they read before stalling,
+	// their outcomes the healthy drain abandoned, and how long that drain
+	// took against its 10s deadline.
+	StalledRead         int     `json:"stalled_clients_read"`
+	StalledAbandoned    int     `json:"stalled_clients_abandoned"`
+	HealthyDrainSeconds float64 `json:"healthy_drain_seconds"`
+
 	// DebugHealth is the raw /debug/health body captured mid-run, the
 	// exact document a gateway would poll.
 	DebugHealth json.RawMessage `json:"debug_health"`
@@ -70,6 +78,54 @@ func shedLabel(err error) string {
 		return "payload-too-large"
 	}
 	return ""
+}
+
+// stallClient is a stream consumer that stops reading partway: it feeds
+// item into a stream from open and reads the results until stallAt
+// (reopening the stream whenever the engine ends it), then stops reading
+// while it keeps feeding. Overload sheds can still cut the stream short,
+// so after the stall a stream that has taken no input for half a second
+// is replaced by a fresh one, also unread. Everything stays open until ctx
+// is cancelled. Every result read is counted in read.
+func stallClient[I, O any](ctx context.Context, stallAt time.Time, item I, open func(context.Context, <-chan I) <-chan O, read *atomic.Int64) {
+	in := make(chan I)
+	out := open(ctx, in)
+	stall := time.NewTimer(time.Until(stallAt))
+	defer stall.Stop()
+reading:
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-stall.C:
+			break reading
+		case in <- item:
+		case _, ok := <-out:
+			if !ok {
+				in = make(chan I)
+				out = open(ctx, in)
+				continue
+			}
+			read.Add(1)
+		}
+	}
+	tick := time.NewTicker(250 * time.Millisecond)
+	defer tick.Stop()
+	taken := time.Now()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case in <- item:
+			taken = time.Now()
+		case <-tick.C:
+			if time.Since(taken) >= 500*time.Millisecond {
+				in = make(chan I)
+				open(ctx, in)
+				taken = time.Now()
+			}
+		}
+	}
 }
 
 func percentileMs(samples []time.Duration, p float64) float64 {
@@ -240,6 +296,24 @@ func runOverload(duration time.Duration, seed int64, workers int, healthOut stri
 	stop := time.Now().Add(duration)
 	producers := 4 * workers
 	var wg sync.WaitGroup
+
+	// Stalled consumers on the healthy engine: one facade Stream and one
+	// DecodeStream client stop reading halfway through the soak. The final
+	// drain must still return within its deadline.
+	stallCtx, stallCancel := context.WithCancel(context.Background())
+	defer stallCancel()
+	stallAt := time.Now().Add(duration / 2)
+	var stallWG sync.WaitGroup
+	var stalledRead atomic.Int64
+	stallWG.Add(2)
+	go func() {
+		defer stallWG.Done()
+		stallClient(stallCtx, stallAt, payload, healthy.Stream, &stalledRead)
+	}()
+	go func() {
+		defer stallWG.Done()
+		stallClient(stallCtx, stallAt, wave, healthy.DecodeStream, &stalledRead)
+	}()
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func() {
@@ -291,10 +365,26 @@ func runOverload(duration time.Duration, seed int64, workers int, healthOut stri
 	healthySnap := healthy.HealthReport()
 	poisonedSnap := poisoned.HealthReport()
 
-	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	// With the load gone, give the stalled clients up to 5s to park a
+	// frame in delivery (one held for 200ms, not a frame in passing), so
+	// the drain below has an outcome to abandon.
+	held := time.Duration(0)
+	for parked := time.Now().Add(5 * time.Second); held < 200*time.Millisecond && time.Now().Before(parked); {
+		time.Sleep(20 * time.Millisecond)
+		held += 20 * time.Millisecond
+		if healthy.HealthReport().Inflight == 0 {
+			held = 0
+		}
+	}
+	const drainDeadline = 10 * time.Second
+	drainCtx, cancel := context.WithTimeout(context.Background(), drainDeadline)
 	defer cancel()
+	drainStart := time.Now()
 	healthyDrain := healthy.Drain(drainCtx)
-	poisonedDrain := poisoned.Drain(drainCtx)
+	healthyDrainTook := time.Since(drainStart)
+	poisonCtx, poisonCancel := context.WithTimeout(context.Background(), drainDeadline)
+	defer poisonCancel()
+	poisonedDrain := poisoned.Drain(poisonCtx)
 
 	rep := overloadReport{
 		DurationSeconds: duration.Seconds(),
@@ -315,6 +405,10 @@ func runOverload(duration time.Duration, seed int64, workers int, healthOut stri
 		HealthyDrain:    healthyDrain,
 		PoisonedDrain:   poisonedDrain,
 		DebugHealth:     debugHealth,
+
+		StalledRead:         int(stalledRead.Load()),
+		StalledAbandoned:    healthyDrain.Abandoned,
+		HealthyDrainSeconds: healthyDrainTook.Seconds(),
 	}
 	rep.LatencyBound = 2 * p99Unloaded
 	if rep.LatencyBound < 50 {
@@ -336,7 +430,9 @@ func runOverload(duration time.Duration, seed int64, workers int, healthOut stri
 	}
 	fmt.Printf("  breaker: opened %d times, re-closed %d times; storm: %d panics, %d stalls\n",
 		rep.BreakerOpened, rep.BreakerReclosed, rep.StormPanics, rep.StormStalls)
-	fmt.Printf("  drains: healthy %+v, poisoned %+v\n", healthyDrain, poisonedDrain)
+	fmt.Printf("  stalled clients: read %d results, %d outcomes abandoned by the healthy drain\n",
+		rep.StalledRead, rep.StalledAbandoned)
+	fmt.Printf("  drains: healthy %+v in %v, poisoned %+v\n", healthyDrain, healthyDrainTook.Round(time.Millisecond), poisonedDrain)
 
 	if healthOut != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
@@ -377,6 +473,16 @@ func runOverload(duration time.Duration, seed int64, workers int, healthOut stri
 	if rejections["circuit-open"] == 0 {
 		fail("breaker tripped but no submission failed fast with ErrCircuitOpen")
 	}
+	// A stalled consumer must not hold the drain past its deadline (a
+	// small grace covers scheduling).
+	if healthyDrainTook > drainDeadline+250*time.Millisecond {
+		fail("healthy drain took %v with stalled stream consumers, past its %v deadline",
+			healthyDrainTook.Round(time.Millisecond), drainDeadline)
+	}
+
+	// Release the stalled clients before the leak check.
+	stallCancel()
+	stallWG.Wait()
 
 	// Abandoned storm stalls finish within their 100ms; give stragglers a
 	// moment, then hold the zero-leak line.
@@ -390,5 +496,5 @@ func runOverload(duration time.Duration, seed int64, workers int, healthOut stri
 	if failed {
 		os.Exit(1)
 	}
-	fmt.Println("\nPASS: shed not stalled — typed rejections, bounded latency, breaker cycled, clean drain, no leaks")
+	fmt.Println("\nPASS: shed not stalled — typed rejections, bounded latency, breaker cycled, drain within its deadline, no leaks")
 }

@@ -467,7 +467,7 @@ func main() {
 		}
 		decSeqStart := time.Now()
 		for _, w := range waveforms {
-			if _, err := dec.DecodeDetailed(w); err != nil {
+			if _, err := dec.Decode(w); err != nil {
 				return err
 			}
 		}

@@ -156,53 +156,17 @@ func TestFrameProtectedSymbols(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersAgree checks the deprecated decode entry points
-// still work and preserve errors.Is against the unified Decode.
-func TestDeprecatedWrappersAgree(t *testing.T) {
-	cfg := Config{Channel: CH3}
-	enc, err := NewEncoder(cfg)
+// TestDecodeErrorIdentity: both Decode paths — the codec decode and the
+// standard-frame option — preserve errors.Is against the taxonomy.
+func TestDecodeErrorIdentity(t *testing.T) {
+	dec, err := NewDecoder(Config{Channel: CH3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := NewDecoder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte("wrapper agreement payload")
-	frame, err := enc.Encode(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wave, err := frame.Waveform()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := dec.Decode(wave)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ch, err := dec.DecodePayload(wave)
-	if err != nil {
-		t.Fatalf("DecodePayload: %v", err)
-	}
-	if !bytes.Equal(got, res.Payload) || ch != res.Channel {
-		t.Fatal("DecodePayload disagrees with Decode")
-	}
-	det, err := dec.DecodeDetailed(wave)
-	if err != nil {
-		t.Fatalf("DecodeDetailed: %v", err)
-	}
-	if !bytes.Equal(det.Payload, res.Payload) || det.Codec != res.Codec {
-		t.Fatal("DecodeDetailed disagrees with Decode")
-	}
-
-	// Error identity must be preserved through every wrapper.
 	garbage := make([]complex128, 64)
 	_, uerr := dec.Decode(garbage)
-	_, _, werr := dec.DecodePayload(garbage)
-	_, nerr := dec.DecodeNormal(garbage)
-	for _, e := range []error{uerr, werr, nerr} {
+	_, nerr := dec.Decode(garbage, AsStandardFrame())
+	for _, e := range []error{uerr, nerr} {
 		if !errors.Is(e, ErrNoPreamble) {
 			t.Fatalf("short-capture error %v does not wrap ErrNoPreamble", e)
 		}
@@ -235,13 +199,6 @@ func TestDecodeAsStandardFrame(t *testing.T) {
 	}
 	if res.Codec != "" || res.Channel != 0 {
 		t.Fatalf("standard decode reported codec %q channel %v; want raw PSDU view", res.Codec, res.Channel)
-	}
-	normal, err := dec.DecodeNormal(wave)
-	if err != nil {
-		t.Fatalf("DecodeNormal: %v", err)
-	}
-	if !bytes.Equal(normal, res.Payload) {
-		t.Fatal("DecodeNormal disagrees with Decode(AsStandardFrame)")
 	}
 }
 

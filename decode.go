@@ -91,10 +91,8 @@ func AsStandardFrame() DecodeOption {
 // and returns the payload together with everything else the receive
 // chain learned (see DecodeResult). For the default SledZig codec the
 // protected channel is detected from the constellation and the extra
-// bits are stripped; options adjust the interpretation of the capture.
-//
-// Decode is the single decoding entry point; DecodePayload, DecodeNormal
-// and DecodeDetailed are thin deprecated wrappers over it.
+// bits are stripped; AsStandardFrame reads the capture as a plain 802.11
+// PPDU instead. Decode is the decoder's single entry point.
 func (d *Decoder) Decode(waveform []complex128, opts ...DecodeOption) (*DecodeResult, error) {
 	var o decodeOptions
 	for _, opt := range opts {
@@ -107,38 +105,6 @@ func (d *Decoder) Decode(waveform []complex128, opts ...DecodeOption) (*DecodeRe
 		return d.decodeCodec(waveform)
 	}
 	return d.decodeSledZig(waveform)
-}
-
-// DecodePayload demodulates a PPDU waveform and returns the payload and
-// detected channel.
-//
-// Deprecated: use Decode, which reports the same through DecodeResult.
-func (d *Decoder) DecodePayload(waveform []complex128) ([]byte, Channel, error) {
-	res, err := d.Decode(waveform)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Payload, res.Channel, nil
-}
-
-// DecodeNormal demodulates a standard (non-SledZig) WiFi PPDU and returns
-// its PSDU.
-//
-// Deprecated: use Decode with AsStandardFrame.
-func (d *Decoder) DecodeNormal(waveform []complex128) ([]byte, error) {
-	res, err := d.Decode(waveform, AsStandardFrame())
-	if err != nil {
-		return nil, err
-	}
-	return res.Payload, nil
-}
-
-// DecodeDetailed demodulates a PPDU waveform and returns the full
-// DecodeResult.
-//
-// Deprecated: DecodeDetailed is the old name of Decode; call Decode.
-func (d *Decoder) DecodeDetailed(waveform []complex128) (*DecodeResult, error) {
-	return d.Decode(waveform)
 }
 
 // seed resolves the configured scrambler seed.

@@ -221,7 +221,7 @@ func decodeResultFrom(r *engine.DecodeResult) *DecodeResult {
 }
 
 // DecodeBatch decodes every PPDU waveform across the pool and returns the
-// results in input order — byte-identical to calling Decoder.DecodeDetailed
+// results in input order — byte-identical to calling Decoder.Decode
 // sequentially with the same Config. Each worker recycles its demodulation
 // buffers internally; the returned results are self-contained and safe to
 // retain. The first failing waveform's error (wrapped in the public
@@ -294,16 +294,19 @@ func (e *Engine) DecodeStream(ctx context.Context, in <-chan []complex128) <-cha
 	return out
 }
 
-// Close stops accepting work, waits for in-flight frames, and releases the
-// workers. Safe to call more than once. Shutdown paths that need a
-// deadline and per-frame accounting use Drain instead.
+// Close is Drain with no deadline: it stops accepting work, flushes every
+// admitted frame, and releases the workers. Safe to call more than once.
+// Shutdown paths that need a deadline and per-frame accounting use Drain.
 func (e *Engine) Close() { e.e.Close() }
 
 // Drain stops admission and flushes in-flight work, bounded by ctx. New
-// submissions fail with ErrOverloaded-distinct ErrDraining immediately; if
-// every admitted frame completes before ctx expires the drain is clean,
-// otherwise still-queued frames are handed back to their callers as
-// ErrDraining outcomes. The engine is closed either way; the report counts
+// batches and stream inputs fail immediately with ErrDraining (distinct
+// from ErrOverloaded); a batch admitted before the drain keeps submitting
+// its frames. If every admitted frame completes before ctx expires the
+// drain is clean; otherwise still-queued frames are handed back to their
+// callers as ErrDraining outcomes, and stream outcomes a stalled consumer
+// has not taken are dropped and counted as abandoned. Drain returns by
+// ctx's deadline either way, and the engine is closed; the report counts
 // what was flushed, shed, and abandoned. Safe to call concurrently and
 // more than once.
 func (e *Engine) Drain(ctx context.Context) DrainReport { return e.e.Drain(ctx) }

@@ -109,9 +109,9 @@ func TestErrNoProtectedChannelReachable(t *testing.T) {
 	if _, err := dec.Decode(wave); !errors.Is(err, ErrNoProtectedChannel) {
 		t.Fatalf("Decode(standard frame): got %v, want ErrNoProtectedChannel", err)
 	}
-	// DecodeNormal remains the escape hatch for such frames.
-	if _, err := dec.DecodeNormal(wave); err != nil {
-		t.Fatalf("DecodeNormal(standard frame): %v", err)
+	// AsStandardFrame remains the escape hatch for such frames.
+	if _, err := dec.Decode(wave, AsStandardFrame()); err != nil {
+		t.Fatalf("Decode(standard frame, AsStandardFrame): %v", err)
 	}
 }
 

@@ -113,7 +113,7 @@ func FuzzDecodeWaveform(f *testing.F) {
 		assertTypedDecodeErr(t, derr)
 		_, derr = resilient.Decode(w)
 		assertTypedDecodeErr(t, derr)
-		_, nerr := dec.DecodeNormal(w)
+		_, nerr := dec.Decode(w, sledzig.AsStandardFrame())
 		assertTypedDecodeErr(t, nerr)
 	})
 }

@@ -67,7 +67,7 @@ func (e *Engine) overload(reason string, wait time.Duration) error {
 	return &Overload{
 		Reason:     reason,
 		QueueDepth: len(e.jobs),
-		Inflight:   int(e.inflight.Load()),
+		Inflight:   int(e.pending()),
 		Wait:       wait,
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"time"
 )
 
 // ErrDraining is returned by submissions while Drain is flushing in-flight
@@ -12,44 +11,50 @@ import (
 var ErrDraining = errors.New("engine: draining")
 
 // Admission states, held in Engine.state. Transitions only move forward:
-// accepting -> draining -> closed (Close jumps straight to closed).
+// accepting -> draining -> closed.
 const (
 	admitAccepting int32 = iota
 	admitDraining
 	admitClosed
 )
 
-// DrainReport is Drain's account of how the in-flight work ended.
+// DrainReport is Drain's account of how the in-flight work ended. Every
+// frame pending when the drain starts, or admitted during it, is counted
+// in exactly one of Flushed, Shed and Abandoned.
 type DrainReport struct {
 	// Flushed frames completed normally (delivered a result or a per-frame
-	// error) between the drain starting and the engine closing.
+	// error) between the drain starting and the engine quitting.
 	Flushed uint64 `json:"flushed"`
-	// Shed frames were still queued at the deadline and were handed back
-	// to their callers with ErrDraining instead of being run.
+	// Shed frames were still queued (or being submitted) when the engine
+	// quit and were handed back to their callers with ErrDraining instead
+	// of being run.
 	Shed uint64 `json:"shed"`
-	// Abandoned frames were still on a worker (or otherwise admitted and
-	// unfinished) when the deadline forced the engine shut.
+	// Abandoned frames were admitted and unsettled when the deadline forced
+	// the engine to quit: still on a worker, or waiting on a stream
+	// consumer that stopped reading (that outcome is dropped).
 	Abandoned int `json:"abandoned"`
 	// Clean is true when every admitted frame flushed before the deadline.
 	Clean bool `json:"clean"`
 }
 
 // Drain stops admission and flushes in-flight work, bounded by ctx. New
-// submissions fail immediately with ErrDraining. If every admitted frame
-// completes before ctx expires the drain is clean; otherwise queued frames
-// are handed back to their callers as ErrDraining outcomes and the report
-// counts what was flushed, shed, and abandoned. The engine is closed either
-// way — Drain replaces the all-or-nothing Close for shutdown paths that
-// need per-frame accounting (a gateway backend catching SIGTERM).
+// batches and stream inputs fail immediately with ErrDraining; a batch
+// admitted before the drain started keeps submitting its frames until the
+// engine quits. If every admitted frame completes before ctx expires the
+// drain is clean; otherwise the engine quits at the deadline: queued
+// frames are handed back to their callers as ErrDraining outcomes, stream
+// outcomes a stalled consumer has not taken are dropped, and the report
+// counts what was flushed, shed, and abandoned. Drain never blocks past
+// ctx's deadline on a consumer; a wedged worker is left behind and
+// reported as abandoned.
 //
 // Safe to call concurrently and more than once: one caller performs the
-// drain, the rest observe the closed state and return immediately.
+// drain, the rest wait for the engine to quit (bounded by their own ctx)
+// and report the terminal counters.
 func (e *Engine) Drain(ctx context.Context) DrainReport {
 	if !e.state.CompareAndSwap(admitAccepting, admitDraining) {
-		// Already draining or closed. Wait for the first drainer (or Close)
-		// to finish flushing, then report the terminal counters.
 		select {
-		case <-e.drained:
+		case <-e.quit:
 		case <-ctx.Done():
 		}
 		e.wgWaitBounded(ctx)
@@ -60,50 +65,63 @@ func (e *Engine) Drain(ctx context.Context) DrainReport {
 
 	// Admission is stopped; in-flight frames release their reservation as
 	// they finish. If none were in flight the drain completes immediately.
-	if e.inflight.Load() == 0 {
+	if e.pending() == 0 {
 		e.drainOnce.Do(func() { close(e.drained) })
 	}
-	clean := false
 	// Check the drained signal before racing it against the deadline: a
 	// drain that is already complete must be clean even if ctx expired.
 	select {
 	case <-e.drained:
-		clean = true
 	default:
 		select {
 		case <-e.drained:
-			clean = true
 		case <-ctx.Done():
 		}
 	}
-	if clean {
-		// No admitted work remains: no submitter holds a reservation, so no
-		// goroutine is blocked sending on e.jobs, and the plain lock in
-		// closeNow cannot deadlock.
-		e.closeNow()
-	} else {
-		// Deadline hit with work still admitted. Shed everything queued —
-		// delivering ErrDraining per frame — and close the channel while
-		// keeping the queue moving so blocked submitters always progress.
-		e.shedQueued.Store(true)
-		e.closeShedding()
-	}
+	e.shutdown()
 	e.wgWaitBounded(ctx)
 	e.state.Store(admitClosed)
 	unregisterEngine(e)
 	return e.drainReport()
 }
 
+// shutdown quits the engine; only the Drain that moved the engine to
+// draining calls it. Setting quitBit stops further reservations and records, in the
+// same atomic step, how many frames were still pending. Closing quit then
+// releases every blocked send and worker, and the sweep sheds what is
+// queued.
+func (e *Engine) shutdown() {
+	for {
+		n := e.inflight.Load()
+		if e.inflight.CompareAndSwap(n, n|quitBit) {
+			e.pendingAtQuit = n
+			break
+		}
+	}
+	close(e.quit)
+	e.shedQueue()
+}
+
+// quitting reports whether the engine has quit.
+func (e *Engine) quitting() bool { return e.inflight.Load()&quitBit != 0 }
+
+// pending is the number of admitted-but-unsettled frames.
+func (e *Engine) pending() int64 { return e.inflight.Load() &^ quitBit }
+
 func (e *Engine) drainReport() DrainReport {
 	shed := e.drainShedN.Load()
-	abandoned := int(e.inflight.Load())
-	if abandoned < 0 {
-		abandoned = 0
+	abandoned := e.pending()
+	select {
+	case <-e.quit:
+		// Frames pending at quit that were not shed missed the deadline.
+		abandoned = e.pendingAtQuit - int64(shed)
+	default:
 	}
+	abandoned = max(abandoned, 0)
 	return DrainReport{
 		Flushed:   e.drainFlushed.Load(),
 		Shed:      shed,
-		Abandoned: abandoned,
+		Abandoned: int(abandoned),
 		Clean:     shed == 0 && abandoned == 0,
 	}
 }
@@ -120,80 +138,35 @@ func (e *Engine) wgWaitBounded(ctx context.Context) {
 	}
 }
 
-// shedQueue empties whatever is currently queued, failing each job with
+// shedQueue empties whatever is currently queued, shedding each job with
 // ErrDraining. Non-blocking: it returns as soon as the queue reads empty.
 func (e *Engine) shedQueue() {
 	m := metrics()
 	for {
 		select {
-		case j, ok := <-e.jobs:
-			if !ok {
-				return
-			}
+		case j := <-e.jobs:
 			m.queueDepth.Add(-1)
-			e.drainShedN.Add(1)
-			e.noteShed(&e.sheds.draining, m.shedDraining)
-			e.breaker.Release(j.probe)
-			e.failJob(j, ErrDraining)
-			e.releaseInflight()
+			e.dispatch(nil, j)
 		default:
 			return
 		}
 	}
 }
 
-// closeNow closes the job channel exactly once, under the same lock
-// submitters hold while sending. Only safe when no submitter can be blocked
-// mid-send (inflight == 0 after admission stopped).
-func (e *Engine) closeNow() {
-	e.mu.Lock()
-	if !e.closed {
-		e.closed = true
-		close(e.jobs)
-	}
-	e.mu.Unlock()
-}
-
-// closeShedding closes the job channel while legacy blocking submitters may
-// still be parked in `e.jobs <- j` holding e.mu.RLock. A plain Lock would
-// deadlock against them, so it alternates TryLock attempts with shedQueue
-// sweeps: every sweep frees queue capacity, letting a parked submitter
-// complete its send and drop its read lock, until the write lock is
-// acquired and the channel can be closed. A final sweep sheds anything that
-// squeezed in between the last sweep and the close.
-func (e *Engine) closeShedding() {
-	for {
-		if e.mu.TryLock() {
-			if !e.closed {
-				e.closed = true
-				close(e.jobs)
-			}
-			e.mu.Unlock()
-			e.shedQueue()
-			return
-		}
-		e.shedQueue()
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
-// failJob delivers err to the job's caller and finishes its trace.
-func (e *Engine) failJob(j *job, err error) {
-	j.tr.Finish(err)
-	if j.deliverDec != nil {
-		j.deliverDec(j.idx, nil, err)
-	} else if j.deliver != nil {
-		j.deliver(j.idx, nil, err)
-	}
-	if j.done != nil {
-		j.done.Done()
-	}
-}
-
-// releaseInflight returns one admission reservation; the last one out after
+// releaseInflight returns one admission reservation and reports whether
+// the engine had already quit. flushed marks a delivered outcome, which
+// counts toward the drain's Flushed tally when it lands between the drain
+// starting and the engine quitting. The last reservation out after
 // admission stops signals drain completion.
-func (e *Engine) releaseInflight() {
-	if e.inflight.Add(-1) == 0 && e.state.Load() != admitAccepting {
+func (e *Engine) releaseInflight(flushed bool) (afterQuit bool) {
+	n := e.inflight.Add(-1)
+	afterQuit = n&quitBit != 0
+	draining := e.state.Load() != admitAccepting
+	if flushed && draining && !afterQuit {
+		e.drainFlushed.Add(1)
+	}
+	if n&^quitBit == 0 && draining {
 		e.drainOnce.Do(func() { close(e.drained) })
 	}
+	return afterQuit
 }

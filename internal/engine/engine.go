@@ -64,7 +64,8 @@ type Config struct {
 	// MaxQueueWait bounds how long a submission may wait for queue
 	// capacity before being shed with a typed *Overload (ErrOverloaded).
 	// Zero keeps the original blocking-backpressure contract: wait until
-	// a worker frees capacity or the caller's context dies.
+	// a worker frees capacity, the caller's context dies, or the engine
+	// quits at the end of a Drain.
 	MaxQueueWait time.Duration
 	// MaxInflight caps admitted-but-unfinished frames across the queue
 	// and the workers; beyond it submissions shed with ErrOverloaded.
@@ -122,9 +123,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is one unit of work in flight — an encode (payload set) or a decode
-// (waveform set). Exactly one deliver callback is non-nil and is called
-// exactly once with the outcome, then done (when set) is released.
+// job is one unit of work in flight — an encode (payload set, deliver set)
+// or a decode (waveform set, deliverDec set). The deliver callback is
+// called exactly once with the outcome, then done (when set) is released.
 type job struct {
 	payload  []byte
 	waveform []complex128
@@ -142,11 +143,59 @@ type job struct {
 	// its outcome (or shed) must hand the probe slot back.
 	probe bool
 
+	// enq is the submission time the frame-latency histograms measure from.
+	enq time.Time
 	// tr is the frame's trace (nil when tracing is off): started at
 	// submission, marked Enqueued/Dequeued around the queue hop, threaded
-	// into the PHY pipelines for stage spans, and finished by the worker.
+	// into the PHY pipelines for stage spans, and finished with the outcome.
 	tr *trace.Frame
 }
+
+// direction is everything that differs between encode and decode frames.
+// Admission, the queue, the worker loop, delivery and drain are one
+// implementation, generic over the input and result types.
+type direction[In, R any] struct {
+	k     int    // index into the per-direction metrics and worker stages
+	input string // what one input is called in batch errors
+	// start opens a frame's root trace (nil when tracing is off).
+	start func() *trace.Frame
+	// bind stores the input and the typed outcome callback on a job.
+	bind func(j *job, in In, deliver func(int, R, error))
+	run  func(w workerState, j *job) (R, error)
+	// size is the byte count a successful frame adds to its stage.
+	size func(j *job, res R) int
+}
+
+var encoding = &direction[[]byte, *Product]{
+	k: 0, input: "payload",
+	start: func() *trace.Frame { return trace.Start("encode") },
+	bind:  func(j *job, p []byte, deliver func(int, *Product, error)) { j.payload, j.deliver = p, deliver },
+	run:   encodeFrame,
+	size:  func(j *job, _ *Product) int { return len(j.payload) },
+}
+
+var decoding = &direction[[]complex128, *DecodeResult]{
+	k: 1, input: "waveform",
+	start: func() *trace.Frame { return trace.Start("decode") },
+	bind: func(j *job, w []complex128, deliver func(int, *DecodeResult, error)) {
+		j.waveform, j.deliverDec = w, deliver
+	},
+	run:  decodeFrame,
+	size: func(_ *job, res *DecodeResult) int { return len(res.Payload) },
+}
+
+// dispatch serves j in its direction; a nil w sheds it.
+func (e *Engine) dispatch(w *workerState, j *job) {
+	if j.deliverDec != nil {
+		serve(e, w, j, decoding, j.deliverDec)
+	} else {
+		serve(e, w, j, encoding, j.deliver)
+	}
+}
+
+// quitBit is set in Engine.inflight once the engine quits, so one atomic
+// step both stops admission and fixes which frames were pending at quit.
+const quitBit = int64(1) << 62
 
 // Engine is a fixed pool of encoder workers sharing one cached plan.
 // All methods are safe for concurrent use.
@@ -168,9 +217,9 @@ type Engine struct {
 	// state is the admission gate (accepting/draining/closed); inflight
 	// counts admitted-but-unfinished frames (each submission reserves
 	// before enqueueing, each outcome — delivered, shed, or skipped —
-	// releases); abandoned counts live timeout-abandoned frame
-	// goroutines; lastShedNS stamps the most recent shed decision for
-	// health recency.
+	// releases), plus quitBit once the engine quits; abandoned counts live
+	// timeout-abandoned frame goroutines; lastShedNS stamps the most
+	// recent shed decision for health recency.
 	state      atomic.Int32
 	inflight   atomic.Int64
 	abandoned  atomic.Int64
@@ -178,19 +227,20 @@ type Engine struct {
 	sheds      shedTally
 
 	// drained closes (via drainOnce) when admission has stopped and the
-	// inflight count reaches zero. shedQueued flips the workers into
-	// shedding mode at a drain deadline; drainFlushed/drainShedN account
-	// the drain's per-frame disposition.
-	drained      chan struct{}
-	drainOnce    sync.Once
-	shedQueued   atomic.Bool
-	drainFlushed atomic.Uint64
-	drainShedN   atomic.Uint64
+	// inflight count reaches zero. quit closes once, when Drain's deadline
+	// expires or its flush completes: workers exit, queued jobs shed, and
+	// every blocking send gives up. pendingAtQuit is the inflight count at
+	// that instant (written before quit closes). drainFlushed/drainShedN
+	// account the drain's per-frame disposition.
+	drained       chan struct{}
+	drainOnce     sync.Once
+	quit          chan struct{}
+	pendingAtQuit int64
+	drainFlushed  atomic.Uint64
+	drainShedN    atomic.Uint64
 
-	mu     sync.RWMutex // guards closed vs. sends on jobs
-	closed bool
-	jobs   chan *job
-	wg     sync.WaitGroup
+	jobs chan *job
+	wg   sync.WaitGroup
 }
 
 // New builds the engine: resolves the plan through the process-wide plan
@@ -218,6 +268,7 @@ func New(cfg Config) (*Engine, error) {
 		now:     time.Now,
 		breaker: newBreaker(cfg.Breaker),
 		drained: make(chan struct{}),
+		quit:    make(chan struct{}),
 		jobs:    make(chan *job, cfg.Queue),
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -240,10 +291,12 @@ func (e *Engine) Plan() *core.Plan { return e.plan }
 // old encoder/decoder buffers (or codec instance), so the worker must
 // never touch them again.
 type workerState struct {
-	e   *Engine
-	enc *core.Encoder
-	dec *decoderState
-	cdc codec.Codec // non-nil iff cfg.generic()
+	e      *Engine
+	i      int
+	stages [2]*obs.Stage // per direction, indexed by direction.k
+	enc    *core.Encoder
+	dec    *decoderState
+	cdc    codec.Codec // non-nil iff cfg.generic()
 }
 
 func (w *workerState) reset() {
@@ -262,7 +315,7 @@ func (w *workerState) reset() {
 }
 
 // setTrace threads a frame trace into a codec instance when it supports
-// tracing; it must only be called while w still owns cdc.
+// tracing; only the computation that owns cdc may call it.
 func setTrace(cdc codec.Codec, tr *trace.Frame) {
 	if t, ok := cdc.(codec.Traceable); ok {
 		t.SetTrace(tr)
@@ -303,19 +356,19 @@ func SetFrameHook(h func(FrameHookInfo)) {
 
 // strike runs the frame hooks for one frame; called inside the guarded
 // section so an injected panic or stall is contained like a real one.
-func (e *Engine) strike(j *job, decode bool) {
+func (e *Engine) strike(j *job) {
 	if h := testFrameHook; h != nil {
 		h(j)
 	}
 	if hp := frameHook.Load(); hp != nil {
-		(*hp)(FrameHookInfo{Codec: e.codecName(), Decode: decode, Index: j.idx})
+		(*hp)(FrameHookInfo{Codec: e.codecName(), Decode: j.deliverDec != nil, Index: j.idx})
 	}
 }
 
 // runProtected executes fn, converting a panic into a typed per-frame
 // error carrying the stack. This is the boundary that keeps one hostile
 // frame from taking down the worker pool.
-func runProtected(fn func() error) (err error) {
+func runProtected[R any](fn func() (R, error)) (res R, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			metrics().panics.Inc()
@@ -325,14 +378,21 @@ func runProtected(fn func() error) (err error) {
 	return fn()
 }
 
-// guarded runs fn under panic recovery and, when configured, the per-frame
-// deadline. On deadline or context expiry the computation is abandoned to
-// finish on its own (it holds only w's old state, which reset replaces)
-// and a typed error is returned promptly. Abandoned goroutines are counted
-// in the abandoned_workers gauge and capped by Config.MaxAbandoned: at the
-// cap a new frame sheds with ErrOverloaded instead of risking yet another
-// background goroutine.
-func (w *workerState) guarded(ctx context.Context, fn func() error) error {
+// runFrame runs one frame's PHY work — the fault hooks, then d.run — under
+// panic recovery and, when configured, the per-frame deadline. The work
+// runs on a copy of w's state: on deadline or context expiry it is
+// abandoned to finish on its own with that copy, reset gives w fresh
+// state, and a typed error is returned promptly. Abandoned goroutines are
+// counted in the abandoned_workers gauge and capped by
+// Config.MaxAbandoned: at the cap a new frame sheds with ErrOverloaded
+// instead of risking yet another background goroutine.
+func runFrame[In, R any](w *workerState, j *job, d *direction[In, R]) (R, error) {
+	st := *w
+	fn := func() (R, error) {
+		st.e.strike(j)
+		return d.run(st, j)
+	}
+	var none R
 	e := w.e
 	timeout := e.cfg.FrameTimeout
 	if timeout <= 0 {
@@ -340,45 +400,51 @@ func (w *workerState) guarded(ctx context.Context, fn func() error) error {
 	}
 	if limit := e.abandonedCap(); limit > 0 && int(e.abandoned.Load()) >= limit {
 		e.noteShed(&e.sheds.abandoned, metrics().shedAbandoned)
-		return e.overload(OverloadAbandoned, 0)
+		return none, e.overload(OverloadAbandoned, 0)
 	}
 	// fate arbitrates the race between the frame finishing and the worker
 	// abandoning it: whichever side loses its CAS settles the abandoned
 	// tally, and a frame that finishes at the buzzer still wins — the
 	// worker takes its real result instead of reporting a timeout.
 	var fate atomic.Int32
-	done := make(chan error, 1)
+	type result struct {
+		res R
+		err error
+	}
+	done := make(chan result, 1)
 	go func() {
-		err := runProtected(fn)
+		res, err := runProtected(fn)
 		if !fate.CompareAndSwap(frameRunning, frameFinished) {
 			// The worker abandoned this frame; this goroutine was the
 			// tallied abandoned worker and has now retired.
 			e.abandonedDone()
 		}
-		done <- err
+		done <- result{res, err}
 	}()
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	var cancel <-chan struct{}
-	if ctx != nil {
-		cancel = ctx.Done()
+	if j.ctx != nil {
+		cancel = j.ctx.Done()
 	}
 	select {
-	case err := <-done:
-		return err
+	case r := <-done:
+		return r.res, r.err
 	case <-timer.C:
 		if !e.abandonFrame(&fate) {
-			return <-done
+			r := <-done
+			return r.res, r.err
 		}
 		metrics().timeouts.Inc()
 		w.reset()
-		return fmt.Errorf("%w (%v)", ErrFrameTimeout, timeout)
+		return none, fmt.Errorf("%w (%v)", ErrFrameTimeout, timeout)
 	case <-cancel:
 		if !e.abandonFrame(&fate) {
-			return <-done
+			r := <-done
+			return r.res, r.err
 		}
 		w.reset()
-		return ctx.Err()
+		return none, j.ctx.Err()
 	}
 }
 
@@ -390,214 +456,156 @@ type Product struct {
 	Generic *codec.Encoded
 }
 
-func (w *workerState) decodeFrame(j *job) (*DecodeResult, error) {
+// decodeFrame decodes j's waveform. The frame trace is threaded into the
+// receive pipeline; a frame abandoned to its deadline and finished late
+// drops its late span writes.
+func decodeFrame(w workerState, j *job) (*DecodeResult, error) {
 	if w.cdc != nil {
-		return w.decodeGeneric(j)
-	}
-	var res *DecodeResult
-	dec := w.dec
-	// Thread the frame trace into the receive pipeline. On a timeout the
-	// abandoned goroutine keeps this dec (reset replaces it), and the
-	// finished frame drops its late span writes.
-	dec.rxr.Trace = j.tr
-	dec.dec.Trace = j.tr
-	err := w.guarded(j.ctx, func() error {
-		w.e.strike(j, true)
-		r, derr := dec.decodeOne(j.waveform)
-		if derr != nil {
-			return derr
+		setTrace(w.cdc, j.tr)
+		defer setTrace(w.cdc, nil)
+		dec, err := w.cdc.Decode(j.waveform)
+		if err != nil {
+			return nil, err
 		}
-		res = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		return &DecodeResult{Payload: dec.Payload, Channel: dec.Channel, Codec: w.e.cfg.Codec}, nil
 	}
-	return res, nil
+	w.dec.rxr.Trace = j.tr
+	w.dec.dec.Trace = j.tr
+	return w.dec.decodeOne(j.waveform)
 }
 
-func (w *workerState) decodeGeneric(j *job) (*DecodeResult, error) {
-	var res *DecodeResult
-	cdc := w.cdc
-	setTrace(cdc, j.tr)
-	err := w.guarded(j.ctx, func() error {
-		w.e.strike(j, true)
-		dec, derr := cdc.Decode(j.waveform)
-		if derr != nil {
-			return derr
-		}
-		res = &DecodeResult{Payload: dec.Payload, Channel: dec.Channel, Codec: w.e.cfg.Codec}
-		return nil
-	})
-	// On abandonment (timeout/cancel) reset already replaced w.cdc and the
-	// stuck goroutine still owns cdc — leave its trace alone.
-	if cdc == w.cdc {
-		setTrace(cdc, nil)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-func (w *workerState) encodeFrame(j *job) (*Product, error) {
+// encodeFrame encodes j's payload, with the frame trace threaded in.
+func encodeFrame(w workerState, j *job) (*Product, error) {
 	if w.cdc != nil {
-		return w.encodeGeneric(j)
+		setTrace(w.cdc, j.tr)
+		defer setTrace(w.cdc, nil)
+		enc, err := w.cdc.Encode(j.payload)
+		if err != nil {
+			return nil, err
+		}
+		return &Product{Generic: enc}, nil
 	}
+	w.enc.Trace = j.tr
 	res := new(core.EncodeResult)
-	enc := w.enc
-	enc.Trace = j.tr
-	err := w.guarded(j.ctx, func() error {
-		w.e.strike(j, false)
-		return enc.EncodeTo(j.payload, res)
-	})
-	if err != nil {
+	if err := w.enc.EncodeTo(j.payload, res); err != nil {
 		return nil, err
 	}
 	return &Product{Core: res}, nil
 }
 
-func (w *workerState) encodeGeneric(j *job) (*Product, error) {
-	var out *codec.Encoded
-	cdc := w.cdc
-	setTrace(cdc, j.tr)
-	err := w.guarded(j.ctx, func() error {
-		w.e.strike(j, false)
-		enc, cerr := cdc.Encode(j.payload)
-		if cerr != nil {
-			return cerr
-		}
-		out = enc
-		return nil
-	})
-	if cdc == w.cdc {
-		setTrace(cdc, nil)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Product{Generic: out}, nil
-}
-
 func (e *Engine) worker(i int) {
 	defer e.wg.Done()
 	m := metrics()
-	encStage := m.workerStage(i, "encode")
-	decStage := m.workerStage(i, "decode")
-	w := &workerState{e: e}
+	w := &workerState{e: e, i: i}
+	w.stages[encoding.k] = m.workerStage(i, "encode")
+	w.stages[decoding.k] = m.workerStage(i, "decode")
 	w.reset()
-	for j := range e.jobs {
-		m.queueDepth.Add(-1)
-		// At a drain deadline the workers stop running frames and hand
-		// everything still queued back to its callers as ErrDraining.
-		if e.shedQueued.Load() {
-			e.drainShedN.Add(1)
-			e.noteShed(&e.sheds.draining, m.shedDraining)
-			e.breaker.Release(j.probe)
-			e.failJob(j, ErrDraining)
-			e.releaseInflight()
-			continue
+	// A worker stops taking jobs once the engine quits, so what is queued
+	// then is shed by Drain's own sweep and counted in its report.
+	for !e.quitting() {
+		select {
+		case <-e.quit:
+			return
+		case j := <-e.jobs:
+			m.queueDepth.Add(-1)
+			e.dispatch(w, j)
 		}
-		j.tr.Dequeued(i)
-		// A dead context fails the frame before any PHY work: cancellation
-		// drains the queue promptly instead of decoding doomed frames.
-		if j.ctx != nil {
-			if err := j.ctx.Err(); err != nil {
-				e.breaker.Release(j.probe)
-				e.failJob(j, err)
-				e.releaseInflight()
-				continue
-			}
-		}
-		if j.deliverDec != nil {
-			t0 := decStage.Start()
-			res, err := w.decodeFrame(j)
-			e.finishFrame(m.decodeFrameLatency, j, err)
-			if err != nil {
-				decStage.Fail(t0)
-				m.decodeFailures.Inc()
-				j.deliverDec(j.idx, nil, err)
-			} else {
-				decStage.Done(t0, len(res.Payload))
-				j.deliverDec(j.idx, res, nil)
-			}
-			if j.done != nil {
-				j.done.Done()
-			}
-			e.frameDone(j, err)
-			continue
-		}
-		t0 := encStage.Start()
-		res, err := w.encodeFrame(j)
-		e.finishFrame(m.encodeFrameLatency, j, err)
-		if err != nil {
-			encStage.Fail(t0)
-			m.failures.Inc()
-			j.deliver(j.idx, nil, err)
-		} else {
-			encStage.Done(t0, len(j.payload))
-			j.deliver(j.idx, res, nil)
-		}
-		if j.done != nil {
-			j.done.Done()
-		}
-		e.frameDone(j, err)
 	}
 }
 
-// frameDone settles one completed frame's reliability accounting: the
-// breaker outcome, the drain flush tally, and the inflight reservation.
-func (e *Engine) frameDone(j *job, err error) {
-	if e.breaker.Record(e.now(), j.probe, err != nil) {
+// serve runs one dequeued job on worker w and settles it: the trace and
+// latency histogram close, the caller gets the outcome, and the frame's
+// reservation is released. With w nil, or once the engine has quit, the
+// job is shed with ErrDraining instead of run.
+func serve[In, R any](e *Engine, w *workerState, j *job, d *direction[In, R], deliver func(int, R, error)) {
+	m := metrics()
+	var res R
+	var err error
+	ran, shed := false, w == nil || e.quitting()
+	if shed {
+		err = ErrDraining
+		e.drainShedN.Add(1)
+		e.noteShed(&e.sheds.draining, m.shedDraining)
+	} else {
+		j.tr.Dequeued(w.i)
+		// A dead context fails the frame before any PHY work: cancellation
+		// drains the queue promptly instead of running doomed frames.
+		if j.ctx != nil {
+			err = j.ctx.Err()
+		}
+		if err == nil {
+			ran = true
+			st := w.stages[d.k]
+			t0 := st.Start()
+			if res, err = runFrame(w, j, d); err != nil {
+				st.Fail(t0)
+				m.failures[d.k].Inc()
+			} else {
+				st.Done(t0, d.size(j, res))
+			}
+		}
+	}
+	e.finishFrame(m.frameLatency[d.k], j, err)
+	deliver(j.idx, res, err)
+	if j.done != nil {
+		j.done.Done()
+	}
+	if !ran {
+		e.breaker.Release(j.probe)
+	} else if e.breaker.Record(e.now(), j.probe, err != nil) {
 		publishHealthGauge()
 	}
-	if e.state.Load() == admitDraining {
-		e.drainFlushed.Add(1)
-	}
-	e.releaseInflight()
+	e.releaseInflight(!shed)
 }
 
-// finishFrame closes the frame's trace with its outcome, observes the
-// per-frame latency histogram (with an exemplar naming the trace when the
+// finishFrame closes the frame's trace with its outcome, observes its
+// enqueue-to-outcome latency (with an exemplar naming the trace when the
 // frame was traced), and triggers a flight-recorder fault dump for
-// contained panics and deadline abandonments. With tracing off the only
-// cost beyond the existing histogram observation is two nil checks.
+// contained panics and deadline abandonments.
 func (e *Engine) finishFrame(h *obs.Histogram, j *job, err error) {
-	if j.tr != nil {
-		j.tr.Finish(err)
-		secs := float64(j.tr.TotalNS()) / 1e9
-		h.ObserveExemplar(secs, j.tr.TraceIDHex(), e.now().UnixNano())
-		if errors.Is(err, ErrFramePanic) {
-			trace.Fault("frame_panic")
-		} else if errors.Is(err, ErrFrameTimeout) {
-			trace.Fault("frame_timeout")
-		}
+	now := e.now()
+	secs := now.Sub(j.enq).Seconds()
+	if j.tr == nil {
+		h.Observe(secs)
+		return
+	}
+	j.tr.Finish(err)
+	h.ObserveExemplar(secs, j.tr.TraceIDHex(), now.UnixNano())
+	if errors.Is(err, ErrFramePanic) {
+		trace.Fault("frame_panic")
+	} else if errors.Is(err, ErrFrameTimeout) {
+		trace.Fault("frame_timeout")
 	}
 }
 
-// submit admits and enqueues one job. Admission runs the whole reliability
-// ladder in order: closed/draining state, the abandoned-worker cap, the
-// circuit breaker, the inflight cap, then the bounded queue wait — each
-// stage sheds with its own typed error rather than stalling the caller.
-func (e *Engine) submit(ctx context.Context, j *job) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return ErrClosed
-	}
-	m := metrics()
+// admission is the engine-state gate in front of submit: new work fails
+// with ErrDraining once Drain starts and ErrClosed once it ends. A batch
+// passes it once, so a batch admitted before a drain starts keeps
+// submitting its frames, and the drain flushes or sheds them like any
+// other; a stream passes it per input.
+func (e *Engine) admission() error {
 	switch e.state.Load() {
 	case admitClosed:
 		return ErrClosed
 	case admitDraining:
-		e.noteShed(&e.sheds.draining, m.shedDraining)
+		e.noteShed(&e.sheds.draining, metrics().shedDraining)
 		return ErrDraining
 	}
+	return nil
+}
+
+// submit admits and enqueues one job. Admission runs the reliability
+// ladder in order: the abandoned-worker cap, the circuit breaker, the
+// inflight cap, then the bounded queue wait — each stage sheds with its
+// own typed error rather than stalling the caller.
+func (e *Engine) submit(ctx context.Context, j *job) error {
+	m := metrics()
 	if limit := e.abandonedCap(); limit > 0 && int(e.abandoned.Load()) >= limit {
 		e.noteShed(&e.sheds.abandoned, m.shedAbandoned)
 		return e.overload(OverloadAbandoned, 0)
 	}
-	admit, probe := e.breaker.Allow(e.now())
+	j.enq = e.now()
+	admit, probe := e.breaker.Allow(j.enq)
 	if !admit {
 		e.noteShed(&e.sheds.circuit, m.shedCircuit)
 		return fmt.Errorf("%w: codec %q failing fast", ErrCircuitOpen, e.codecName())
@@ -606,59 +614,136 @@ func (e *Engine) submit(ctx context.Context, j *job) error {
 	// Reserve the inflight slot before the send: a worker finishing the
 	// job must never release a reservation that was not yet taken, or the
 	// drain-complete signal could fire with work still admitted.
-	if limit := e.cfg.MaxInflight; limit > 0 {
-		if nv := e.inflight.Add(1); int(nv) > limit {
-			e.releaseInflight()
-			e.breaker.Release(probe)
-			e.noteShed(&e.sheds.inflight, m.shedInflight)
-			return e.overload(OverloadInflight, 0)
-		}
-	} else {
-		e.inflight.Add(1)
-	}
-	select {
-	case e.jobs <- j:
-		m.queueDepth.Add(1)
-		return nil
-	default:
-	}
-	if e.cfg.MaxQueueWait <= 0 {
-		// Original backpressure contract: block until a worker frees
-		// capacity or the caller's context dies.
-		select {
-		case e.jobs <- j:
-			m.queueDepth.Add(1)
-			return nil
-		case <-ctx.Done():
-			e.releaseInflight()
-			e.breaker.Release(probe)
-			return ctx.Err()
-		}
-	}
-	start := e.now()
-	timer := time.NewTimer(e.cfg.MaxQueueWait)
-	defer timer.Stop()
-	select {
-	case e.jobs <- j:
-		m.queueDepth.Add(1)
-		return nil
-	case <-timer.C:
-		e.releaseInflight()
+	n := e.inflight.Add(1)
+	if n&quitBit != 0 {
+		// The engine quit before this reservation; nothing waits on it.
+		e.inflight.Add(-1)
 		e.breaker.Release(probe)
+		return ErrClosed
+	}
+	if limit := e.cfg.MaxInflight; limit > 0 && int(n) > limit {
+		e.unreserve(probe)
+		e.noteShed(&e.sheds.inflight, m.shedInflight)
+		return e.overload(OverloadInflight, 0)
+	}
+	// A nil expire channel never fires: MaxQueueWait <= 0 keeps the
+	// blocking backpressure contract (wait for capacity, the caller's
+	// context, or the engine quitting).
+	var expire <-chan time.Time
+	if e.cfg.MaxQueueWait > 0 {
+		timer := time.NewTimer(e.cfg.MaxQueueWait)
+		defer timer.Stop()
+		expire = timer.C
+	}
+	select {
+	case e.jobs <- j:
+		m.queueDepth.Add(1)
+		// The send can win the race against quit closing after the last
+		// sweep; sweep again so no job is stranded where no worker reads.
+		if e.quitting() {
+			e.shedQueue()
+		}
+		return nil
+	case <-expire:
+		e.unreserve(probe)
 		e.noteShed(&e.sheds.queueWait, m.shedQueueWait)
-		return e.overload(OverloadQueueWait, e.now().Sub(start))
+		return e.overload(OverloadQueueWait, e.now().Sub(j.enq))
 	case <-ctx.Done():
-		e.releaseInflight()
-		e.breaker.Release(probe)
+		e.unreserve(probe)
 		return ctx.Err()
+	case <-e.quit:
+		e.unreserve(probe)
+		e.noteShed(&e.sheds.draining, m.shedDraining)
+		return ErrDraining
 	}
 }
 
-// EncodeOutcome is one frame's result in a per-frame batch: exactly one of
+// unreserve hands back the reservation (and probe slot) of a submission
+// that did not enqueue. A reservation still pending when the engine quit
+// was counted in pendingAtQuit, so it ends as a drain shed.
+func (e *Engine) unreserve(probe bool) {
+	if e.releaseInflight(false) {
+		e.drainShedN.Add(1)
+	}
+	e.breaker.Release(probe)
+}
+
+// enqueue builds the job for one input and submits it.
+func (d *direction[In, R]) enqueue(e *Engine, ctx context.Context, in In, idx int, deliver func(int, R, error), done *sync.WaitGroup) error {
+	j := &job{idx: idx, ctx: ctx, done: done, tr: d.start()}
+	d.bind(j, in, deliver)
+	j.tr.Enqueued()
+	err := e.submit(ctx, j)
+	if err != nil {
+		j.tr.Finish(err)
+	}
+	return err
+}
+
+// Outcome is one frame's result in a per-frame batch: exactly one of
 // Result and Err is set.
-type EncodeOutcome struct {
-	Result *Product
+type Outcome[R any] struct {
+	Result R
 	Err    error
+}
+
+// EncodeOutcome and DecodeOutcome are the per-frame results of EncodeEach
+// and DecodeEach.
+type (
+	EncodeOutcome = Outcome[*Product]
+	DecodeOutcome = Outcome[*DecodeResult]
+)
+
+// each runs one per-frame batch across the pool and returns one outcome
+// per input, in input order. A submission error fails the input it hit
+// and every later one; frames already admitted are still waited for.
+func each[In, R any](e *Engine, ctx context.Context, d *direction[In, R], ins []In) []Outcome[R] {
+	m := metrics()
+	start := e.now()
+	outs := make([]Outcome[R], len(ins))
+	var done sync.WaitGroup
+	deliver := func(idx int, res R, err error) {
+		outs[idx] = Outcome[R]{Result: res, Err: err}
+	}
+	err := e.admission()
+	for i, in := range ins {
+		done.Add(1)
+		if err == nil {
+			err = d.enqueue(e, ctx, in, i, deliver, &done)
+		}
+		if err != nil {
+			done.Done()
+			for k := i; k < len(ins); k++ {
+				outs[k] = Outcome[R]{Err: err}
+			}
+			break
+		}
+	}
+	done.Wait()
+	m.batchLatency[d.k].ObserveDuration(e.now().Sub(start))
+	m.batches[d.k].Inc()
+	ok := 0
+	for _, o := range outs {
+		if o.Err == nil {
+			ok++
+		}
+	}
+	m.frames[d.k].Add(uint64(ok))
+	return outs
+}
+
+// batch is each with the all-or-nothing contract: the results in input
+// order, or the first error by input order.
+func batch[In, R any](e *Engine, ctx context.Context, d *direction[In, R], ins []In) ([]R, error) {
+	outs := each(e, ctx, d, ins)
+	results := make([]R, len(outs))
+	for i, o := range outs {
+		if o.Err != nil {
+			return nil, fmt.Errorf("engine: %s %d: %w", d.input, i, o.Err)
+		}
+		results[i] = o.Result
+	}
+	return results, nil
 }
 
 // EncodeEach encodes every payload across the pool and returns one outcome
@@ -668,37 +753,7 @@ type EncodeOutcome struct {
 // undecoded remainder with the context error but still waits for frames
 // already on a worker.
 func (e *Engine) EncodeEach(ctx context.Context, payloads [][]byte) []EncodeOutcome {
-	m := metrics()
-	start := e.now()
-	outcomes := make([]EncodeOutcome, len(payloads))
-	var done sync.WaitGroup
-	deliver := func(idx int, res *Product, err error) {
-		outcomes[idx] = EncodeOutcome{Result: res, Err: err}
-	}
-	for i, p := range payloads {
-		done.Add(1)
-		j := &job{payload: p, idx: i, ctx: ctx, deliver: deliver, done: &done, tr: trace.Start("encode")}
-		j.tr.Enqueued()
-		if err := e.submit(ctx, j); err != nil {
-			j.tr.Finish(err)
-			done.Done()
-			for k := i; k < len(payloads); k++ {
-				outcomes[k] = EncodeOutcome{Err: err}
-			}
-			break
-		}
-	}
-	done.Wait()
-	m.batchLatency.ObserveDuration(e.now().Sub(start))
-	m.batches.Inc()
-	ok := 0
-	for _, o := range outcomes {
-		if o.Err == nil {
-			ok++
-		}
-	}
-	m.frames.Add(uint64(ok))
-	return outcomes
+	return each(e, ctx, encoding, payloads)
 }
 
 // EncodeBatch encodes every payload across the pool and returns the
@@ -707,25 +762,10 @@ func (e *Engine) EncodeEach(ctx context.Context, payloads [][]byte) []EncodeOutc
 // unsubmitted remainder but still waits for in-flight frames. Callers that
 // need sibling results to survive one bad frame use EncodeEach.
 func (e *Engine) EncodeBatch(ctx context.Context, payloads [][]byte) ([]*Product, error) {
-	outcomes := e.EncodeEach(ctx, payloads)
-	results := make([]*Product, len(outcomes))
-	for i, o := range outcomes {
-		if o.Err != nil {
-			return nil, fmt.Errorf("engine: payload %d: %w", i, o.Err)
-		}
-		results[i] = o.Result
-	}
-	return results, nil
+	return batch(e, ctx, encoding, payloads)
 }
 
-// Close stops accepting work, runs everything already queued, and waits
-// for the workers to exit. Safe to call more than once, and safe to mix
-// with Drain (whichever wins shuts the engine; the other observes it).
-// Shutdown paths that need a deadline and per-frame accounting use Drain.
-func (e *Engine) Close() {
-	e.closeNow()
-	e.wg.Wait()
-	e.state.Store(admitClosed)
-	e.drainOnce.Do(func() { close(e.drained) })
-	unregisterEngine(e)
-}
+// Close is Drain with no deadline: it stops admission, flushes every
+// admitted frame, and waits for the workers to exit. Safe to call more
+// than once and to mix with Drain.
+func (e *Engine) Close() { e.Drain(context.Background()) }

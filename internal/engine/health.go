@@ -84,7 +84,7 @@ func (e *Engine) Report() HealthSnapshot {
 		Workers:      e.cfg.Workers,
 		Queue:        len(e.jobs),
 		QueueCap:     cap(e.jobs),
-		Inflight:     int(e.inflight.Load()),
+		Inflight:     int(e.pending()),
 		Abandoned:    int(e.abandoned.Load()),
 		Shed:         e.sheds.counts(),
 		DrainFlushed: e.drainFlushed.Load(),
@@ -118,8 +118,8 @@ func (e *Engine) healthState() HealthState {
 }
 
 // Process-wide registry of live engines, the backing store for
-// /debug/health and the engine.health.state gauge. New registers, Close
-// and Drain unregister.
+// /debug/health and the engine.health.state gauge. New registers, Drain
+// (and so Close) unregisters.
 var (
 	liveMu      sync.Mutex
 	liveEngines = map[uint64]*Engine{}

@@ -11,16 +11,17 @@ import (
 // obs registry (nil handles, and therefore no-ops, when observability is
 // off).
 type engineMetrics struct {
-	queueDepth   *obs.Gauge     // jobs enqueued but not yet picked up
-	batchLatency *obs.Histogram // EncodeBatch wall time, seconds
-	batches      *obs.Counter
-	frames       *obs.Counter
-	failures     *obs.Counter
+	queueDepth *obs.Gauge // jobs enqueued but not yet picked up
 
-	decodeBatchLatency *obs.Histogram // DecodeBatch wall time, seconds
-	decodeBatches      *obs.Counter
-	decodeFrames       *obs.Counter
-	decodeFailures     *obs.Counter
+	// Per direction, indexed by direction.k (encode, decode): batch wall
+	// time, batches, frames delivered, frames failed, and every frame's
+	// enqueue-to-outcome latency — observed untraced too, with an exemplar
+	// naming the frame trace when there is one.
+	batchLatency [2]*obs.Histogram
+	batches      [2]*obs.Counter
+	frames       [2]*obs.Counter
+	failures     [2]*obs.Counter
+	frameLatency [2]*obs.Histogram
 
 	panics   *obs.Counter // frames whose worker panicked (recovered)
 	timeouts *obs.Counter // frames abandoned to FrameTimeout
@@ -42,16 +43,9 @@ type engineMetrics struct {
 	breakerState    *obs.Gauge
 
 	// Worst live engine's health rank (0 healthy, 1 degraded, 2 draining,
-	// 3 closed) and the number of Drain calls that took effect.
+	// 3 closed) and the number of Drain (or Close) calls that took effect.
 	healthState *obs.Gauge
 	drains      *obs.Counter
-
-	// Per-frame end-to-end latency (queue wait + service), fed by traced
-	// frames only so every p99 bucket carries an exemplar naming the frame
-	// trace behind it. Aggregate per-worker stage histograms cover all
-	// frames regardless of tracing.
-	encodeFrameLatency *obs.Histogram
-	decodeFrameLatency *obs.Histogram
 
 	r      *obs.Registry
 	stages sync.Map // "<worker index>/<kind>" -> *obs.Stage
@@ -67,16 +61,13 @@ func metrics() *engineMetrics {
 			return engineNil
 		}
 		return &engineMetrics{
-			queueDepth:   r.Gauge("engine.queue_depth"),
-			batchLatency: r.Histogram("engine.batch.latency_seconds"),
-			batches:      r.Counter("engine.batches"),
-			frames:       r.Counter("engine.frames"),
-			failures:     r.Counter("engine.failures"),
+			queueDepth: r.Gauge("engine.queue_depth"),
 
-			decodeBatchLatency: r.Histogram("engine.decode.batch.latency_seconds"),
-			decodeBatches:      r.Counter("engine.decode.batches"),
-			decodeFrames:       r.Counter("engine.decode.frames"),
-			decodeFailures:     r.Counter("engine.decode.failures"),
+			batchLatency: [2]*obs.Histogram{r.Histogram("engine.batch.latency_seconds"), r.Histogram("engine.decode.batch.latency_seconds")},
+			batches:      [2]*obs.Counter{r.Counter("engine.batches"), r.Counter("engine.decode.batches")},
+			frames:       [2]*obs.Counter{r.Counter("engine.frames"), r.Counter("engine.decode.frames")},
+			failures:     [2]*obs.Counter{r.Counter("engine.failures"), r.Counter("engine.decode.failures")},
+			frameLatency: [2]*obs.Histogram{r.Histogram("engine.frame.encode.latency_seconds"), r.Histogram("engine.frame.decode.latency_seconds")},
 
 			panics:   r.Counter("engine.frame_panics"),
 			timeouts: r.Counter("engine.frame_timeouts"),
@@ -95,9 +86,6 @@ func metrics() *engineMetrics {
 
 			healthState: r.Gauge("engine.health.state"),
 			drains:      r.Counter("engine.drains"),
-
-			encodeFrameLatency: r.Histogram("engine.frame.encode.latency_seconds"),
-			decodeFrameLatency: r.Histogram("engine.frame.decode.latency_seconds"),
 
 			r: r,
 		}

@@ -60,7 +60,7 @@ func TestRoundTripStageCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dec.DecodeNormal(normalWave); err != nil {
+	if _, err := dec.Decode(normalWave, AsStandardFrame()); err != nil {
 		t.Fatal(err)
 	}
 

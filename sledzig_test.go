@@ -234,7 +234,7 @@ func TestFacadeAccessors(t *testing.T) {
 }
 
 func TestDecodeNormalFrame(t *testing.T) {
-	// DecodeNormal reads a plain (non-SledZig) WiFi frame's PSDU.
+	// Decode with AsStandardFrame reads a plain (non-SledZig) WiFi frame's PSDU.
 	enc, err := NewEncoder(Config{Modulation: QAM16, CodeRate: Rate12, Channel: CH2})
 	if err != nil {
 		t.Fatal(err)
@@ -251,10 +251,11 @@ func TestDecodeNormalFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	psdu, err := dec.DecodeNormal(wave)
+	res, err := dec.Decode(wave, AsStandardFrame())
 	if err != nil {
 		t.Fatal(err)
 	}
+	psdu := res.Payload
 	// The raw PSDU is the SledZig transmit stream, longer than the
 	// embedded payload.
 	if len(psdu) < len("payload under the hood") {
